@@ -11,10 +11,11 @@ scan decoherence  raw + renormalized infidelity vs relaxation rate
 nlevel        n-level populations along the pulse, or an n-level area scan
 waveguide     map a sequence to a coupled-waveguide layout and propagate light
 
-Exit codes: 0 success, 2 usage, 3 solver non-convergence, 4 data/range errors.
+Exit codes: 0 success, 1 derived sequence failed verification, 2 usage,
+3 solver non-convergence, 4 data/range errors.
 Relative output paths resolve against $DMCP_OUT_DIR when it is set. A JSON
 config file (--config) supplies defaults for any long flag; explicit flags win.
-Runs are deterministic for a fixed configuration and seed.
+Runs are deterministic for a fixed configuration.
 """
 from __future__ import annotations
 
@@ -46,6 +47,7 @@ from .synthesis import (
 from . import photonics
 
 EXIT_OK = 0
+EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_CONVERGENCE = 3
 EXIT_DATA = 4
@@ -58,26 +60,18 @@ class UsageError(ValueError):
 def parse_angle(text: str) -> float:
     """Accept 'pi', 'pi/2', 'pi/4', '2pi/3' style strings or plain radians."""
     t = text.strip().lower().replace(" ", "")
-    if not t:
-        raise UsageError("empty angle")
-    try:
-        return float(t)
-    except ValueError:
-        pass
-    if "pi" not in t:
-        raise UsageError(f"cannot parse angle {text!r}")
     num, _, den = t.partition("/")
-    scale = 1.0
-    num = num.replace("pi", "")
-    if num in ("", "+"):
-        scale = 1.0
-    elif num == "-":
-        scale = -1.0
-    else:
-        scale = float(num)
-    value = scale * np.pi
-    if den:
-        value /= float(den)
+    try:
+        if "pi" in num:
+            coef = num.replace("pi", "")
+            scale = float(coef + "1" if coef in ("", "+", "-") else coef)
+            value = scale * np.pi / (float(den) if den else 1.0)
+        else:
+            value = float(t)
+    except (ValueError, ZeroDivisionError):
+        value = np.nan
+    if not np.isfinite(value):
+        raise UsageError(f"cannot parse angle {text!r}")
     return value
 
 
@@ -182,7 +176,7 @@ def cmd_derive(args) -> int:
     print(f"derived ratios: {np.round(seq.ratios, 4).tolist()}")
     print(f"gate distance:  {report.gate_distance:.3e} (pass={report.passed})")
     print(f"wrote {path}")
-    return EXIT_OK if report.passed else 1
+    return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
 def default_states(dimension: int) -> InitialStateSet:
@@ -196,7 +190,7 @@ def cmd_scan_area(args) -> int:
         states = InitialStateSet(("custom",), (StateVector.normalized(parse_state(args.state)),))
     else:
         states = default_states(2)
-    result = area_scan(seq, states, eps, metric=args.metric, n_jobs=args.jobs or 1)
+    result = area_scan(seq, states, eps, metric=args.metric)
     path = write_scan(result, args, "area_scan." + args.format)
     print(f"wrote {path}")
     return EXIT_OK
@@ -208,8 +202,7 @@ def cmd_scan_grid2d(args) -> int:
         raise UsageError("--steps must be >= 2")
     axis = np.linspace(-args.range, args.range, args.steps)
     state = parse_state(args.state) if args.state else np.array([1.0, 0.0])
-    jobs = args.jobs or (os.cpu_count() or 1)
-    result = scan_2d(seq, state, axis, axis, metric=args.metric, n_jobs=jobs)
+    result = scan_2d(seq, state, axis, axis, metric=args.metric)
     path = write_scan(result, args, "grid2d." + args.format)
     qualifying = int(np.sum(1.0 - result.values <= 1e-4))
     print(f"cells within 1e-4 infidelity: {qualifying} of {result.values.size}")
@@ -272,8 +265,7 @@ def cmd_nlevel(args) -> int:
         print(f"final populations: {np.round(endpoint, 6).tolist()}")
     else:
         eps = parse_range(args.eps)
-        result = area_scan(seq, default_states(n), eps, dimension=n,
-                           metric=args.metric, n_jobs=args.jobs or 1)
+        result = area_scan(seq, default_states(n), eps, dimension=n, metric=args.metric)
         path = write_scan(result, args, "nlevel_area_scan." + args.format)
     print(f"wrote {path}")
     return EXIT_OK
@@ -312,9 +304,6 @@ def cmd_waveguide(args) -> int:
 def _add_common(p: argparse.ArgumentParser, *, scan: bool = False) -> None:
     p.add_argument("--out", help="output path (prefix for waveguide)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed for anything random")
-    p.add_argument("--jobs", type=int, default=0,
-                   help="parallel workers for grid evaluation (0 = command default)")
     if scan:
         p.add_argument("--table", choices=catalog_names(), help="bundled sequence name")
         p.add_argument("--ratios", help="explicit comma-separated detuning ratios")

@@ -13,9 +13,15 @@ Conventions used throughout the package:
   first in time.
 - Relaxation is modelled by giving the excited level a width: the level gap
   becomes Delta - i*gamma, i.e. H_diag = (-Delta/2, (Delta - i*gamma)/2).
-  Populations prepared in |1> then decay with lifetime 1/gamma. The propagator
-  is computed by a complex matrix exponential and no longer unitary; state
-  norms shrink monotonically with gamma.
+  Populations prepared in |1> then decay with lifetime 1/gamma. Splitting off
+  the trace, H = -i*gamma/4 + (Omega*sigma_x - Delta'*sigma_z)/2 with the
+  complex detuning Delta' = Delta - i*gamma/2, so every piece keeps the
+  closed-form constant-piece propagator (with a complex generalized Rabi
+  frequency) times exp(-gamma*dt/4). It is no longer unitary; state norms
+  shrink monotonically with gamma.
+- One step function (`_step`) and one product loop (`_product`) serve every
+  propagator in the package: `compose`, `compose_grid`, `bloch_trajectory`
+  and the photonics device model.
 
 A composite sequence whose detuning list is anti-palindromic (the universal
 construction) composes, at zero error, to a rotation about the y axis. Gate
@@ -26,10 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "PulseSegment",
@@ -260,43 +265,77 @@ def _perturbed_parameters(seg: PulseSegment, err: ErrorModel, index: int):
     return omega, delta, dt
 
 
-def _closed_form(omega: float, delta: float, dt: float) -> np.ndarray:
-    """Exact unitary for a constant piece; safe at Omega_g = 0."""
-    og = float(np.hypot(omega, delta))
+def _step(omega, delta, dt, gamma: float = 0.0) -> np.ndarray:
+    """Propagators exp(-i dt H) of constant pieces, shape broadcast + (2, 2).
+
+    omega, delta and dt broadcast together. With gamma > 0 the detuning
+    becomes Delta' = Delta - i*gamma/2 and the result carries exp(-gamma*dt/4).
+    Safe where the generalized Rabi frequency vanishes: at Omega = Delta = 0
+    and at the exceptional point Omega = gamma/2, Delta = 0.
+    """
+    if gamma > 0:
+        delta = delta - 0.5j * gamma
+        og = np.sqrt(omega * omega + delta * delta + 0j)
+    else:
+        og = np.hypot(omega, delta)
     half = 0.5 * og * dt
     c = np.cos(half)
     # sin(A/2)/Omega_g with its Omega_g -> 0 limit dt/2
-    sc = np.sin(half) / og if og > 0 else 0.5 * dt
-    return np.array(
-        [[c + 1j * delta * sc, -1j * omega * sc], [-1j * omega * sc, c - 1j * delta * sc]],
-        dtype=complex,
-    )
+    nonzero = og != 0
+    sc = np.where(nonzero, np.sin(half) / np.where(nonzero, og, 1.0), 0.5 * dt)
+    step = np.empty(np.shape(c) + (2, 2), dtype=complex)
+    step[..., 0, 0] = c + 1j * delta * sc
+    step[..., 0, 1] = step[..., 1, 0] = -1j * omega * sc
+    step[..., 1, 1] = c - 1j * delta * sc
+    if gamma > 0:
+        step *= np.exp(-0.25 * gamma * np.asarray(dt))[..., None, None]
+    return step
+
+
+def _product(pieces: Iterable[tuple], gamma: float = 0.0) -> np.ndarray:
+    """Ordered product U_N ... U_1 of the steps of (omega, delta, dt) pieces."""
+    u = np.eye(2, dtype=complex)
+    for omega, delta, dt in pieces:
+        step = _step(omega, delta, dt, gamma)
+        u = np.einsum("...ij,...jk->...ik", step, u)
+    return u
+
+
+def _samples(pieces: Iterable[tuple], state: np.ndarray, samples_per_segment: int, gamma: float = 0.0):
+    """States along piecewise evolution: samples_per_segment evenly spaced
+    times per piece (endpoint included) after the initial point.
+
+    Returns (times, amplitudes) with shapes (m,) and (m, 2).
+    """
+    times, states = [np.zeros(1)], [state[None, :]]
+    t0 = 0.0
+    for omega, delta, dt in pieces:
+        tau = dt * np.arange(1, samples_per_segment + 1) / samples_per_segment
+        out = _step(omega, delta, tau, gamma) @ state
+        times.append(t0 + tau)
+        states.append(out)
+        state = out[-1]
+        t0 += dt
+    return np.concatenate(times), np.concatenate(states)
+
+
+def _pieces(seq: CompositeSequence | Iterable[PulseSegment], err: ErrorModel):
+    segments = seq.segments if isinstance(seq, CompositeSequence) else tuple(seq)
+    return [_perturbed_parameters(seg, err, k) for k, seg in enumerate(segments)]
 
 
 def segment_propagator(seg: PulseSegment, err: ErrorModel = ZERO_ERROR, seg_index: int = 0) -> ComplexMatrix:
     """Propagator of one piece under the given error model.
 
-    With gamma = 0 this is the closed-form unitary. With gamma > 0 the excited
-    level acquires a width (complex gap Delta - i*gamma) and the propagator is
-    the complex matrix exponential exp(-i dt H'); the two routes agree to 1e-12
-    at gamma = 0.
+    Unitary at gamma = 0; with gamma > 0 the excited level acquires a width
+    (complex gap Delta - i*gamma) and the propagator shrinks state norms.
     """
-    omega, delta, dt = _perturbed_parameters(seg, err, seg_index)
-    if err.gamma == 0.0:
-        return _closed_form(omega, delta, dt)
-    h = np.array(
-        [[-0.5 * delta, 0.5 * omega], [0.5 * omega, 0.5 * (delta - 1j * err.gamma)]],
-        dtype=complex,
-    )
-    return expm(-1j * dt * h)
+    return _step(*_perturbed_parameters(seg, err, seg_index), err.gamma)
 
 
 def compose(seq: CompositeSequence, err: ErrorModel = ZERO_ERROR) -> ComplexMatrix:
     """Total propagator U_N ... U_1 (first segment acts first in time)."""
-    u = np.eye(2, dtype=complex)
-    for k, seg in enumerate(seq.segments):
-        u = segment_propagator(seg, err, k) @ u
-    return u
+    return _product(_pieces(seq, err), err.gamma)
 
 
 def compose_grid(
@@ -315,24 +354,13 @@ def compose_grid(
     eps, ce, de = np.broadcast_arrays(
         np.asarray(area_scale, float), np.asarray(coupling_frac, float), np.asarray(detuning_frac, float)
     )
-    shape = eps.shape
-    u = np.broadcast_to(np.eye(2, dtype=complex), shape + (2, 2)).copy()
-    for seg in seq.segments:
-        omega = seg.coupling * (1.0 + ce)
-        delta = seg.detuning * (1.0 + de)
-        dt = seg.duration * (1.0 + eps)
-        og = np.hypot(omega, delta)
-        half = 0.5 * og * dt
-        c = np.cos(half)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sc = np.where(og > 0, np.sin(half) / np.where(og > 0, og, 1.0), 0.5 * dt)
-        step = np.empty(shape + (2, 2), dtype=complex)
-        step[..., 0, 0] = c + 1j * delta * sc
-        step[..., 0, 1] = -1j * omega * sc
-        step[..., 1, 0] = -1j * omega * sc
-        step[..., 1, 1] = c - 1j * delta * sc
-        u = np.einsum("...ij,...jk->...ik", step, u)
-    return u
+
+    def pieces():
+        for seg in seq.segments:
+            omega = seg.coupling * (1.0 + ce)
+            yield omega, seg.detuning * (1.0 + de), seg.duration * (1.0 + eps)
+
+    return _product(pieces())
 
 
 def apply(u: ComplexMatrix, state) -> StateVector:
@@ -407,28 +435,10 @@ def bloch_trajectory(
     """
     if samples_per_segment < 2:
         raise ValueError("samples_per_segment must be >= 2")
-    segments: Sequence[PulseSegment]
-    if isinstance(seq, CompositeSequence):
-        segments = seq.segments
-    else:
-        segments = tuple(seq)
     state = as_amplitudes(init) if init is not None else np.array([1.0, 0.0], dtype=complex)
-    t = 0.0
-    points = [(t,) + bloch_coordinates(state)]
-    for k, seg in enumerate(segments):
-        omega, delta, dt = _perturbed_parameters(seg, err, k)
-        u = np.eye(2, dtype=complex)
-        for j in range(1, samples_per_segment + 1):
-            tau = dt * j / samples_per_segment
-            if err.gamma == 0.0:
-                u = _closed_form(omega, delta, tau)
-            else:
-                h = np.array(
-                    [[-0.5 * delta, 0.5 * omega], [0.5 * omega, 0.5 * (delta - 1j * err.gamma)]],
-                    dtype=complex,
-                )
-                u = expm(-1j * tau * h)
-            points.append((t + tau,) + bloch_coordinates(u @ state))
-        state = u @ state  # last u covers the full segment (tau = dt)
-        t += dt
-    return points
+    if state.size != 2:
+        raise ValueError("Bloch coordinates are defined for two-level states")
+    times, c = _samples(_pieces(seq, err), state, samples_per_segment, err.gamma)
+    cross = np.conj(c[:, 0]) * c[:, 1]
+    z = np.abs(c[:, 0]) ** 2 - np.abs(c[:, 1]) ** 2
+    return list(zip(times.tolist(), (2 * cross.real).tolist(), (2 * cross.imag).tolist(), z.tolist()))

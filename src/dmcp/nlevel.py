@@ -25,7 +25,7 @@ from math import factorial
 import numpy as np
 from scipy.linalg import expm
 
-from .dynamics import CompositeSequence, ComplexMatrix, ErrorModel, ZERO_ERROR
+from .dynamics import CompositeSequence, ComplexMatrix, ErrorModel, ZERO_ERROR, _perturbed_parameters
 
 __all__ = [
     "SpinGenerators",
@@ -112,9 +112,7 @@ def nlevel_propagator(seq: CompositeSequence, n: int, err: ErrorModel = ZERO_ERR
     excitations = j * np.eye(n) - g.jz  # diag(0, 1, ..., n-1)
     u = np.eye(n, dtype=complex)
     for k, seg in enumerate(seq.segments):
-        omega = seg.coupling * (1.0 + err.coupling_error(k))
-        delta = seg.detuning * (1.0 + err.detuning_error(k))
-        dt = seg.duration * (1.0 + err.area_scale)
+        omega, delta, dt = _perturbed_parameters(seg, err, k)
         h = omega * g.jx - delta * g.jz
         if err.gamma:
             h = h - 0.5j * err.gamma * excitations
@@ -149,9 +147,7 @@ def population_trajectory(
     t = 0.0
     rows = [(t, *np.abs(state) ** 2)]
     for k, seg in enumerate(seq.segments):
-        omega = seg.coupling * (1.0 + err.coupling_error(k))
-        delta = seg.detuning * (1.0 + err.detuning_error(k))
-        dt = seg.duration * (1.0 + err.area_scale)
+        omega, delta, dt = _perturbed_parameters(seg, err, k)
         h = omega * g.jx - delta * g.jz
         if err.gamma:
             h = h - 0.5j * err.gamma * excitations

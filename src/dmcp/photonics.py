@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dynamics import CompositeSequence, as_amplitudes
+from .dynamics import CompositeSequence, _product, _samples, as_amplitudes
 
 __all__ = [
     "CalibrationError",
@@ -277,6 +277,19 @@ def layout_from_sequence(
     )
 
 
+def _pieces(layout: WaveguideLayout) -> list[tuple[float, float, float]]:
+    """(Omega, Delta, length) of every segment: the two-level pieces of the device."""
+    omega = layout.coupling
+    return [(omega, seg.realized_ratio * omega, seg.length) for seg in layout.segments]
+
+
+def _unit_input(input_state) -> np.ndarray:
+    amps = as_amplitudes(input_state)
+    if amps.size != 2:
+        raise ValueError("input state must be two-mode")
+    return amps / np.linalg.norm(amps)
+
+
 def propagate_intensity(
     layout: WaveguideLayout, input_state, samples_per_segment: int = 64
 ) -> np.ndarray:
@@ -287,47 +300,13 @@ def propagate_intensity(
     """
     if samples_per_segment < 2:
         raise ValueError("samples_per_segment must be >= 2")
-    amps = as_amplitudes(input_state)
-    if amps.size != 2:
-        raise ValueError("input state must be two-mode")
-    amps = amps / np.linalg.norm(amps)
-    omega = layout.coupling
-    rows = [(0.0, float(abs(amps[0]) ** 2), float(abs(amps[1]) ** 2))]
-    z0 = 0.0
-    for seg in layout.segments:
-        delta = seg.realized_ratio * omega
-        og = float(np.hypot(omega, delta))
-        for k in range(1, samples_per_segment + 1):
-            z = seg.length * k / samples_per_segment
-            half = 0.5 * og * z
-            c, s = np.cos(half), np.sin(half)
-            sc = s / og if og > 0 else 0.5 * z
-            u = np.array(
-                [[c + 1j * delta * sc, -1j * omega * sc], [-1j * omega * sc, c - 1j * delta * sc]]
-            )
-            out = u @ amps
-            rows.append((z0 + z, float(abs(out[0]) ** 2), float(abs(out[1]) ** 2)))
-        amps = out
-        z0 += seg.length
-    return np.array(rows)
+    z, amps = _samples(_pieces(layout), _unit_input(input_state), samples_per_segment)
+    return np.column_stack([z, np.abs(amps) ** 2])
 
 
 def endpoint_state(layout: WaveguideLayout, input_state) -> np.ndarray:
     """Amplitudes at the device output (same math as the two-level compose)."""
-    amps = as_amplitudes(input_state)
-    amps = amps / np.linalg.norm(amps)
-    omega = layout.coupling
-    for seg in layout.segments:
-        delta = seg.realized_ratio * omega
-        og = float(np.hypot(omega, delta))
-        half = 0.5 * og * seg.length
-        c, s = np.cos(half), np.sin(half)
-        sc = s / og if og > 0 else 0.5 * seg.length
-        u = np.array(
-            [[c + 1j * delta * sc, -1j * omega * sc], [-1j * omega * sc, c - 1j * delta * sc]]
-        )
-        amps = u @ amps
-    return amps
+    return _product(_pieces(layout)) @ _unit_input(input_state)
 
 
 def load_coupling_table(path) -> list[tuple[float, float]]:

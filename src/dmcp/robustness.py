@@ -22,7 +22,6 @@ wigner-lifted sense-matched rotation applied to the initial state.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -54,19 +53,33 @@ __all__ = [
 ]
 
 
+def _state_overlap(target: np.ndarray, realized: np.ndarray) -> np.ndarray:
+    """|<target|realized>|^2 over the last axis; leading axes broadcast."""
+    if np.any(np.abs(np.linalg.norm(target, axis=-1) - 1.0) > 1e-6):
+        raise ValueError("target state must be normalized")
+    return np.abs(np.sum(np.conj(target) * realized, axis=-1)) ** 2
+
+
+def _population_match(target: np.ndarray, realized: np.ndarray) -> np.ndarray:
+    """1 - (1/2) sum_i | |t_i|^2 - |r_i|^2 | over the last axis; leading axes broadcast."""
+    return 1.0 - 0.5 * np.sum(np.abs(np.abs(target) ** 2 - np.abs(realized) ** 2), axis=-1)
+
+
+def _state_pair(target, realized) -> tuple[np.ndarray, np.ndarray]:
+    t = as_amplitudes(target)
+    r = as_amplitudes(realized)
+    if t.size != r.size:
+        raise ValueError(f"dimension mismatch: target {t.size}, realized {r.size}")
+    return t, r
+
+
 def state_fidelity(target, realized) -> float:
     """Quantum overlap |<target|realized>|^2.
 
     The target must be normalized; the realized state may be sub-normalized
     (relaxation), in which case the overlap keeps the lost norm visible.
     """
-    t = as_amplitudes(target)
-    r = as_amplitudes(realized)
-    if t.size != r.size:
-        raise ValueError(f"dimension mismatch: target {t.size}, realized {r.size}")
-    if abs(np.linalg.norm(t) - 1.0) > 1e-6:
-        raise ValueError("target state must be normalized")
-    return float(abs(np.vdot(t, r)) ** 2)
+    return float(_state_overlap(*_state_pair(target, realized)))
 
 
 def transfer_fidelity(target, realized) -> float:
@@ -76,17 +89,14 @@ def transfer_fidelity(target, realized) -> float:
     for a pi transfer from |0> this is |<1|realized>|^2, for an equal splitter
     it is 1 - |p1 - 1/2|. Insensitive to relative phases by design.
     """
-    t = as_amplitudes(target)
-    r = as_amplitudes(realized)
-    if t.size != r.size:
-        raise ValueError(f"dimension mismatch: target {t.size}, realized {r.size}")
-    return float(1.0 - 0.5 * np.sum(np.abs(np.abs(t) ** 2 - np.abs(r) ** 2)))
+    return float(_population_match(*_state_pair(target, realized)))
 
 
-_METRICS: dict[str, Callable] = {"state": state_fidelity, "transfer": transfer_fidelity}
+_METRICS: dict[str, Callable] = {"state": _state_overlap, "transfer": _population_match}
 
 
 def _metric(name: str) -> Callable:
+    """Batched fidelity (target, realized) -> values over the leading axes."""
     try:
         return _METRICS[name]
     except KeyError:
@@ -212,12 +222,16 @@ def _lifted_target(seq: CompositeSequence, dimension: int) -> np.ndarray:
     return wigner_lift(gate, dimension)
 
 
+def _image(gate: np.ndarray, state) -> np.ndarray:
+    amps = as_amplitudes(state)
+    if amps.size != gate.shape[0]:
+        raise ValueError(f"state has dimension {amps.size}, expected {gate.shape[0]}")
+    return gate @ amps
+
+
 def state_target(seq: CompositeSequence, state, dimension: int = 2) -> StateVector:
     """Image of the initial state under the sense-matched ideal rotation."""
-    amps = as_amplitudes(state)
-    if amps.size != dimension:
-        raise ValueError(f"state has dimension {amps.size}, expected {dimension}")
-    return StateVector(_lifted_target(seq, dimension) @ amps)
+    return StateVector(_image(_lifted_target(seq, dimension), state))
 
 
 def _propagators_for_eps(seq: CompositeSequence, eps_values: np.ndarray, dimension: int) -> np.ndarray:
@@ -229,10 +243,6 @@ def _propagators_for_eps(seq: CompositeSequence, eps_values: np.ndarray, dimensi
     )
 
 
-def _chunked(n_items: int, n_chunks: int) -> list[np.ndarray]:
-    return [c for c in np.array_split(np.arange(n_items), max(1, n_chunks)) if c.size]
-
-
 def area_scan(
     seq: CompositeSequence,
     states: InitialStateSet,
@@ -240,7 +250,6 @@ def area_scan(
     *,
     dimension: int = 2,
     metric: str = "state",
-    n_jobs: int = 1,
 ) -> ScanResult:
     """Fidelity vs joint pulse-area error, one grid row per initial state.
 
@@ -251,28 +260,16 @@ def area_scan(
     if eps.size == 0 or not np.all(np.isfinite(eps)):
         raise ValueError("eps_values must be a nonempty finite sample list")
     fid = _metric(metric)
-    targets = [state_target(seq, s, dimension) for _, s in states]
-
-    def fill(rows: np.ndarray, indices: np.ndarray) -> None:
-        us = _propagators_for_eps(seq, eps[indices], dimension)
-        for row, (_, state) in enumerate(states):
-            evolved = np.einsum("eij,j->ei", us, as_amplitudes(state))
-            for out_col, e_idx in enumerate(indices):
-                rows[row, e_idx] = fid(targets[row], evolved[out_col])
-
-    values = np.empty((len(states), eps.size))
-    chunks = _chunked(eps.size, n_jobs)
-    if len(chunks) == 1:
-        fill(values, chunks[0])
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            list(pool.map(lambda c: fill(values, c), chunks))
+    gate = _lifted_target(seq, dimension)
+    targets = np.stack([_image(gate, s) for _, s in states])
+    amps = np.stack([as_amplitudes(s) for _, s in states])
+    evolved = np.einsum("eij,sj->sei", _propagators_for_eps(seq, eps, dimension), amps)
     return ScanResult(
         axes=(
             Axis("state", "label", tuple(states.names)),
             Axis("area_error", "fraction", tuple(eps.tolist())),
         ),
-        values=values,
+        values=fid(targets[:, None, :], evolved),
         metadata={
             "sequence": seq.label or "custom",
             "ratios": [float(r) for r in seq.ratios],
@@ -283,17 +280,6 @@ def area_scan(
             "value_name": "fidelity",
         },
     )
-
-
-def _infidelity_curve(
-    seq: CompositeSequence, state, eps_values: np.ndarray, dimension: int, metric: str
-) -> np.ndarray:
-    fid = _metric(metric)
-    target = state_target(seq, state, dimension)
-    us = _propagators_for_eps(seq, eps_values, dimension)
-    amps = as_amplitudes(state)
-    evolved = np.einsum("eij,j->ei", us, amps)
-    return np.array([1.0 - fid(target, evolved[k]) for k in range(eps_values.size)])
 
 
 def robustness_radius(
@@ -316,11 +302,14 @@ def robustness_radius(
     """
     if not (0.0 < threshold < 1.0):
         raise ValueError("threshold must lie in (0, 1)")
+    fid = _metric(metric)
+    amps = as_amplitudes(state)
+    target = _image(_lifted_target(seq, dimension), amps)
 
     def envelope(eps_mag: np.ndarray) -> np.ndarray:
-        plus = _infidelity_curve(seq, state, eps_mag, dimension, metric)
-        minus = _infidelity_curve(seq, state, -eps_mag, dimension, metric)
-        return np.maximum(plus, minus)
+        both = np.concatenate([eps_mag, -eps_mag])
+        infid = 1.0 - fid(target, _propagators_for_eps(seq, both, dimension) @ amps)
+        return np.maximum(infid[: eps_mag.size], infid[eps_mag.size:])
 
     if envelope(np.array([0.0]))[0] > threshold:
         raise ValueError("zero-error infidelity is already above the threshold")
@@ -360,7 +349,6 @@ def scan_2d(
     detuning_values: Sequence[float],
     *,
     metric: str = "state",
-    n_jobs: int = 1,
 ) -> ScanResult:
     """Fidelity grid over correlated per-segment coupling and detuning errors.
 
@@ -372,31 +360,15 @@ def scan_2d(
     if cs.size == 0 or ds.size == 0:
         raise ValueError("scan ranges must be nonempty")
     fid = _metric(metric)
-    target = state_target(seq, state, 2)
     amps = as_amplitudes(state)
-
-    values = np.empty((cs.size, ds.size))
-
-    def fill(row_idx: np.ndarray) -> None:
-        cc, dd = np.meshgrid(cs[row_idx], ds, indexing="ij")
-        us = compose_grid(seq, coupling_frac=cc, detuning_frac=dd)
-        evolved = np.einsum("rcij,j->rci", us, amps)
-        for a, r in enumerate(row_idx):
-            for b in range(ds.size):
-                values[r, b] = fid(target, evolved[a, b])
-
-    chunks = _chunked(cs.size, n_jobs)
-    if len(chunks) == 1:
-        fill(chunks[0])
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            list(pool.map(fill, chunks))
+    target = _image(_lifted_target(seq, 2), amps)
+    us = compose_grid(seq, coupling_frac=cs[:, None], detuning_frac=ds[None, :])
     return ScanResult(
         axes=(
             Axis("coupling_error", "fraction", tuple(cs.tolist())),
             Axis("detuning_error", "fraction", tuple(ds.tolist())),
         ),
-        values=values,
+        values=fid(target, us @ amps),
         metadata={
             "sequence": seq.label or "custom",
             "ratios": [float(r) for r in seq.ratios],
@@ -438,13 +410,10 @@ def decoherence_scan(
 
     reference = evolved(0.0)
     reference = reference / np.linalg.norm(reference)
-    values = np.empty((2, gs.size))
-    for k, gamma in enumerate(gs):
-        out = evolved(gamma)
-        values[0, k] = 1.0 - float(abs(np.vdot(reference, out)) ** 2)
-        norm = np.linalg.norm(out)
-        renorm = out / norm if norm > 0 else out
-        values[1, k] = 1.0 - float(abs(np.vdot(reference, renorm)) ** 2)
+    outs = np.stack([evolved(gamma) for gamma in gs])
+    norms = np.linalg.norm(outs, axis=-1, keepdims=True)
+    renorm = outs / np.where(norms > 0, norms, 1.0)
+    values = 1.0 - np.stack([_state_overlap(reference, outs), _state_overlap(reference, renorm)])
     return ScanResult(
         axes=(
             Axis("fidelity_metric", "label", ("raw", "renormalized")),

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from dmcp.cli import main, parse_angle, parse_range
+import dmcp.cli as cli
+from dmcp.cli import EXIT_USAGE, EXIT_VERIFICATION, UsageError, main, parse_angle, parse_range
 
 
 def run(*argv):
@@ -16,6 +17,18 @@ def test_parse_angle():
     assert parse_angle("-pi/4") == pytest.approx(-np.pi / 4)
     assert parse_angle("2pi/3") == pytest.approx(2 * np.pi / 3)
     assert parse_angle("1.57") == pytest.approx(1.57)
+
+
+@pytest.mark.parametrize("text", ["pi/0", "pi/x", "", "2/pi", "nan", "inf"])
+def test_parse_angle_rejects_bad_text(text):
+    with pytest.raises(UsageError, match="angle"):
+        parse_angle(text)
+
+
+@pytest.mark.parametrize("theta", ["pi/0", "pi/x"])
+def test_bad_theta_is_usage_error(theta, capsys):
+    assert run("derive", "--theta", theta, "--n", "4") == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_parse_range():
@@ -47,6 +60,20 @@ def test_derive_usage_errors(tmp_path):
     assert run("derive", "--theta", "pi", "--n", "5") == 2       # odd
     assert run("derive", "--theta", "1.0", "--n", "4") == 2      # no bundled seed
     assert run("derive") == 2                                    # missing args
+
+
+def test_derive_failed_verification_exit_code(tmp_path, monkeypatch):
+    class FailingReport:
+        passed = False
+        gate_distance = 0.5
+
+        def to_dict(self):
+            return {"passed": False}
+
+    monkeypatch.setattr(cli, "verify_sequence", lambda seq: FailingReport())
+    out = tmp_path / "derive.json"
+    assert run("derive", "--theta", "pi", "--n", "4", "--out", str(out)) == EXIT_VERIFICATION == 1
+    assert json.loads(out.read_text())["report"]["passed"] is False
 
 
 def test_derive_convergence_failure():

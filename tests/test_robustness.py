@@ -6,6 +6,7 @@ import pytest
 from dmcp.catalog import catalog_sequence
 from dmcp.dynamics import (
     CompositeSequence,
+    ErrorModel,
     StateVector,
     apply,
     compose,
@@ -111,13 +112,18 @@ def test_area_scan_even_symmetry():
     assert np.max(np.abs(first)) < 1e-6
 
 
-def test_area_scan_parallel_matches_serial():
+@pytest.mark.parametrize("metric", ["state", "transfer"])
+def test_area_scan_cells_match_scalar_path(metric):
     seq = catalog_sequence("pi-n6-o1")
     eps = np.linspace(-0.2, 0.2, 41)
     states = InitialStateSet.reference_states(2)
-    serial = area_scan(seq, states, eps, n_jobs=1)
-    parallel = area_scan(seq, states, eps, n_jobs=4)
-    assert np.array_equal(serial.values, parallel.values)
+    result = area_scan(seq, states, eps, metric=metric)
+    fid = state_fidelity if metric == "state" else transfer_fidelity
+    for row, (_, state) in enumerate(states):
+        target = state_target(seq, state)
+        for col, e in enumerate(eps):
+            realized = compose(seq, ErrorModel(area_scale=float(e))) @ state.amplitudes
+            assert abs(result.values[row, col] - fid(target, realized)) < 1e-12
 
 
 def test_area_scan_input_validation():
@@ -218,12 +224,21 @@ def test_scan_2d_origin_and_contrast():
     assert np.all(np.abs(axis[rows]) < 1e-12)
 
 
-def test_scan_2d_parallel_deterministic():
+@pytest.mark.parametrize("metric", ["state", "transfer"])
+def test_scan_2d_cells_match_scalar_path(metric):
     seq = catalog_sequence("pi2-n4-o1")
-    axis = np.linspace(-0.5, 0.5, 21)
-    a = scan_2d(seq, [1, 0], axis, axis, n_jobs=1)
-    b = scan_2d(seq, [1, 0], axis, axis, n_jobs=3)
-    assert np.array_equal(a.values, b.values)
+    cs = np.linspace(-0.5, 0.5, 21)
+    ds = np.linspace(-0.4, 0.6, 17)
+    state = haar_state(11).amplitudes
+    result = scan_2d(seq, state, cs, ds, metric=metric)
+    fid = state_fidelity if metric == "state" else transfer_fidelity
+    target = state_target(seq, state)
+    n = len(seq.segments)
+    for i, c in enumerate(cs):
+        for j, d in enumerate(ds):
+            err = ErrorModel(coupling_errors=(float(c),) * n, detuning_errors=(float(d),) * n)
+            realized = compose(seq, err) @ state
+            assert abs(result.values[i, j] - fid(target, realized)) < 1e-12
 
 
 def test_decoherence_scan_properties(derived_pi_o1):
