@@ -14,7 +14,9 @@ waveguide     map a sequence to a coupled-waveguide layout and propagate light
 Exit codes: 0 success, 1 derived sequence failed verification, 2 usage,
 3 solver non-convergence, 4 data/range errors.
 Relative output paths resolve against $DMCP_OUT_DIR when it is set. A JSON
-config file (--config) supplies defaults for any long flag; explicit flags win.
+config file (--config) supplies defaults for the long flags of the command
+being run; explicit flags win. A key that names no flag of that command is a
+usage error (2), invalid JSON too (2), an unreadable file a data error (4).
 Runs are deterministic for a fixed configuration.
 """
 from __future__ import annotations
@@ -210,9 +212,16 @@ def cmd_scan_grid2d(args) -> int:
     return EXIT_OK
 
 
+def initial_state(args) -> np.ndarray:
+    """--state when given, else the ground state |0> of --dimension levels."""
+    if args.dimension < 2:
+        raise UsageError("--dimension must be >= 2")
+    return parse_state(args.state) if args.state else np.eye(args.dimension)[0]
+
+
 def cmd_scan_radius(args) -> int:
     seq = resolve_sequence(args)
-    state = parse_state(args.state) if args.state else np.array([1.0, 0.0])
+    state = initial_state(args)
     radius = robustness_radius(
         seq, state, args.threshold, metric=args.metric, dimension=args.dimension
     )
@@ -235,7 +244,7 @@ def cmd_scan_radius(args) -> int:
 def cmd_scan_decoherence(args) -> int:
     seq = resolve_sequence(args)
     gammas = parse_range(args.gamma)
-    state = parse_state(args.state) if args.state else np.array([1.0, 0.0])
+    state = initial_state(args)
     result = decoherence_scan(seq, state, gammas, dimension=args.dimension)
     path = write_scan(result, args, "decoherence." + args.format)
     # report the published threshold point without asserting it
@@ -327,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, choices=(1, 2), default=1)
     p.add_argument("--seed-ratios", help="comma-separated solver seed (defaults to bundled values)")
     _add_common(p)
-    p.set_defaults(func=cmd_derive)
+    p.set_defaults(func=cmd_derive, parser=p)
 
     scan = sub.add_parser("scan", help="robustness scans")
     scan_sub = scan.add_subparsers(dest="scan_command", required=True)
@@ -337,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", default="-0.3:0.3:0.001", help="area-error range start:stop:step")
     p.add_argument("--state", help="custom initial state amplitudes, e.g. '1,0'")
     p.add_argument("--metric", choices=("state", "transfer"), default="state")
-    p.set_defaults(func=cmd_scan_area)
+    p.set_defaults(func=cmd_scan_area, parser=p)
 
     p = scan_sub.add_parser("grid2d", help="coupling x detuning fidelity contour grid")
     _add_common(p, scan=True)
@@ -345,22 +354,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=201)
     p.add_argument("--state", help="initial state amplitudes (default ground)")
     p.add_argument("--metric", choices=("state", "transfer"), default="state")
-    p.set_defaults(func=cmd_scan_grid2d)
+    p.set_defaults(func=cmd_scan_grid2d, parser=p)
 
     p = scan_sub.add_parser("radius", help="robustness radius at a threshold")
     _add_common(p, scan=True)
     p.add_argument("--threshold", type=float, default=1e-4)
-    p.add_argument("--state", help="initial state amplitudes (default ground)")
+    p.add_argument("--state", help="initial state amplitudes (default: ground state of --dimension)")
     p.add_argument("--metric", choices=("transfer", "state"), default="transfer")
     p.add_argument("--dimension", type=int, default=2, help="system dimension (n-level lift)")
-    p.set_defaults(func=cmd_scan_radius)
+    p.set_defaults(func=cmd_scan_radius, parser=p)
 
     p = scan_sub.add_parser("decoherence", help="infidelity vs relaxation rate")
     _add_common(p, scan=True)
     p.add_argument("--gamma", default="0:0.2:0.005", help="gamma range start:stop:step")
-    p.add_argument("--state", help="initial state amplitudes (default ground)")
-    p.add_argument("--dimension", type=int, default=2)
-    p.set_defaults(func=cmd_scan_decoherence)
+    p.add_argument("--state", help="initial state amplitudes (default: ground state of --dimension)")
+    p.add_argument("--dimension", type=int, default=2, help="system dimension (n-level lift)")
+    p.set_defaults(func=cmd_scan_decoherence, parser=p)
 
     p = sub.add_parser("nlevel", help="n-level populations or area scan")
     _add_common(p, scan=True)
@@ -370,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=64, help="samples per segment")
     p.add_argument("--eps", default="-0.3:0.3:0.005", help="area-error range for the scan")
     p.add_argument("--metric", choices=("state", "transfer"), default="state")
-    p.set_defaults(func=cmd_nlevel)
+    p.set_defaults(func=cmd_nlevel, parser=p)
 
     p = sub.add_parser("waveguide", help="map a sequence onto a coupled-waveguide device")
     _add_common(p, scan=True)
@@ -382,45 +391,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-width", type=float, default=1.0)
     p.add_argument("--input", help="input mode amplitudes, e.g. '1,0' or '0,1'")
     p.add_argument("--samples", type=int, default=64, help="samples per segment")
-    p.set_defaults(func=cmd_waveguide)
+    p.set_defaults(func=cmd_waveguide, parser=p)
 
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Pull --config out of argv and fold its values in as parser defaults."""
+def parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv; the keys of a --config JSON object become defaults of the
+    command being run, and each key must name one of that command's flags."""
     if "--config" not in argv:
-        return argv
+        return parser.parse_args(argv)
     idx = argv.index("--config")
-    try:
-        path = argv[idx + 1]
-    except IndexError:
+    if idx + 1 == len(argv):
         parser.error("--config needs a file path")
+    path, argv = argv[idx + 1], argv[:idx] + argv[idx + 2:]
+    args = parser.parse_args(argv)
     with open(path, encoding="utf-8") as fh:
-        config = json.load(fh)
+        text = fh.read()
+    try:
+        config = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"--config {path} is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
-        parser.error("--config must contain a JSON object")
-    parser.set_defaults(**{k.replace("-", "_"): v for k, v in config.items()})
-    for sub_action in parser._subparsers._group_actions:  # propagate to subcommands
-        for sp in sub_action.choices.values():
-            sp.set_defaults(**{k.replace("-", "_"): v for k, v in config.items()})
-            if sp._subparsers is not None:
-                for nested in sp._subparsers._group_actions:
-                    for nsp in nested.choices.values():
-                        nsp.set_defaults(**{k.replace("-", "_"): v for k, v in config.items()})
-    return argv[:idx] + argv[idx + 2:]
+        raise UsageError("--config must contain a JSON object")
+    defaults = {str(k).replace("-", "_"): v for k, v in config.items()}
+    known = set(vars(args)) - {"func", "parser", "config", "command", "scan_command"}
+    unknown = sorted(set(defaults) - known)
+    if unknown:
+        raise UsageError(f"--config {path}: no such flag for this command: {', '.join(unknown)}")
+    args.parser.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config(parser, argv)
-        args = parser.parse_args(argv)
+        args = parse_args(parser, argv)
+        return args.func(args)
     except SystemExit as exc:  # argparse signals usage errors with code 2
         return int(exc.code) if exc.code is not None else EXIT_USAGE
-    try:
-        return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -20,8 +20,9 @@ Conventions used throughout the package:
   frequency) times exp(-gamma*dt/4). It is no longer unitary; state norms
   shrink monotonically with gamma.
 - One step function (`_step`) and one product loop (`_product`) serve every
-  propagator in the package: `compose`, `compose_grid`, `bloch_trajectory`
-  and the photonics device model.
+  propagator in the package: `compose`, `compose_grid`, `bloch_trajectory`,
+  the photonics device model and, through the symmetric-power lift of
+  `nlevel`, every n-level propagator.
 
 A composite sequence whose detuning list is anti-palindromic (the universal
 construction) composes, at zero error, to a rotation about the y axis. Gate
@@ -305,7 +306,8 @@ def _samples(pieces: Iterable[tuple], state: np.ndarray, samples_per_segment: in
     """States along piecewise evolution: samples_per_segment evenly spaced
     times per piece (endpoint included) after the initial point.
 
-    Returns (times, amplitudes) with shapes (m,) and (m, 2).
+    Returns (times, amplitudes) with shapes (m,) and (m,) + state.shape; a
+    (2, 2) identity as the state gives the propagators from the start.
     """
     times, states = [np.zeros(1)], [state[None, :]]
     t0 = 0.0

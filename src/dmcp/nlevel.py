@@ -7,25 +7,39 @@ irreducible spin-j system, j = (n-1)/2. A two-level piece with Hamiltonian
 exactly to the two-level form at n = 2. Level |0> is the top of the ladder
 (m = +j); a pi rotation therefore transfers |0> to the opposite end |n-1>.
 
-`nlevel_propagator` exponentiates the lifted Hamiltonian per piece (durations
-are the two-level ones). `wigner_lift` is the independent oracle: it maps a
-2x2 special-unitary to the same representation through an Euler-angle
-decomposition and the factorial Wigner little-d formula, sharing no machinery
-with the matrix-exponential route.
+So every n-level propagator is the symmetric power of the two-level one
+(the Majorana picture): `_lift` maps a batch of 2x2 matrices u to their
+images on the degree n-1 homogeneous polynomials in (x, y), in the
+orthonormal basis sqrt(C(n-1, k)) x^(n-1-k) y^k, i.e. m = j..-j. The lift is
+a homomorphism on all of GL(2), so `nlevel_propagator` is the lift of
+`dynamics.compose` and `population_trajectory` the lift of the sampled
+two-level propagators; no n x n exponential is taken. `wigner_lift` is the
+same lift restricted to validated SU(2) input, and `wigner_d_matrix` is the
+lift of a y rotation.
 
-Relaxation lifts as a per-level width proportional to the number of excitation
-quanta: level k decays at k*gamma (complex ladder detunings k*(Delta - i*gamma)),
-matching the two-level excited-state width at n = 2.
+Relaxation needs no special case: it is the lift of the complex-detuning
+two-level step. The factor exp(-gamma*dt/4) of the 2x2 step, raised to the
+power 2j, and the lifted complex detuning Delta - i*gamma/2 give each level k
+the width k*gamma (H = Omega*Jx - Delta*Jz - i*gamma/2 * k), matching the
+two-level excited-state width at n = 2.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import comb
 
 import numpy as np
-from scipy.linalg import expm
 
-from .dynamics import CompositeSequence, ComplexMatrix, ErrorModel, ZERO_ERROR, _perturbed_parameters
+from .dynamics import (
+    CompositeSequence,
+    ComplexMatrix,
+    ErrorModel,
+    ZERO_ERROR,
+    _pieces,
+    _samples,
+    compose,
+    ideal_rotation,
+)
 
 __all__ = [
     "SpinGenerators",
@@ -37,6 +51,13 @@ __all__ = [
     "wigner_d_matrix",
     "wigner_lift",
 ]
+
+# Lifted matrix entries computed per chunk of the batch, which bounds the
+# working memory of `_lift` at large n and large batches.
+_LIFT_CHUNK = 1 << 18
+# `_lift` grows coefficients up to C(n-1, (n-1)/2), past double range beyond
+# n ~ 1030.
+_MAX_LEVELS = 1000
 
 
 @dataclass(frozen=True)
@@ -98,26 +119,53 @@ class SpinSystem:
         return k * self.base_detuning + self.offset
 
 
+def _lift(u, n: int) -> np.ndarray:
+    """Dimension-n symmetric power of 2x2 matrices, shape (..., 2, 2) -> (..., n, n).
+
+    With N = n - 1 and u = [[a, b], [c, d]], entry [r, k] is
+    sqrt(C(N, k) / C(N, r)) times the coefficient of t^r in
+    (a + c t)^(N-k) (b + d t)^k, which equals the coefficient of x^r y^k in
+    (a + c x + b y + d x y)^N divided by sqrt(C(N, r) C(N, k)). Summing the
+    first form's coefficients loses ~sqrt(C(N, k)) digits to cancellation.
+    The second form is grown one degree at a time instead, each step a
+    shifted sum with the four entries of u; up to the diagonal scaling that
+    is the isometric recursion Sym^m(u) = P* (Sym^(m-1)(u) (x) u) P, so the
+    rounding error grows only linearly in n.
+    """
+    u = np.asarray(u, dtype=complex)
+    if n == 2:
+        return u
+    if n > _MAX_LEVELS:
+        raise ValueError(f"the n-level lift supports at most {_MAX_LEVELS} levels, got {n}")
+    flat = u.reshape(-1, 4)
+    out = np.empty((flat.shape[0], n, n), dtype=complex)
+    root = np.sqrt(np.array([comb(n - 1, r) for r in range(n)], dtype=float))
+    scale = np.outer(root, root)
+    chunk = max(1, _LIFT_CHUNK // (n * n))
+    for start in range(0, flat.shape[0], chunk):
+        a, b, c, d = flat[start:start + chunk, :, None, None].transpose(1, 0, 2, 3)
+        power = np.ones((a.shape[0], 1, 1), dtype=complex)
+        for m in range(1, n):
+            grown = np.zeros((a.shape[0], m + 1, m + 1), dtype=complex)
+            grown[:, :m, :m] = a * power
+            grown[:, :m, 1:] += b * power
+            grown[:, 1:, :m] += c * power
+            grown[:, 1:, 1:] += d * power
+            power = grown
+        out[start:start + chunk] = power / scale
+    return out.reshape(u.shape[:-2] + (n, n))
+
+
 def nlevel_propagator(seq: CompositeSequence, n: int, err: ErrorModel = ZERO_ERROR) -> ComplexMatrix:
     """Propagator of a composite sequence on the n-level lift.
 
-    Per piece H = Omega'*Jx - Delta'*Jz (- i*gamma/2 * excitation number for
-    gamma > 0), exponentiated over the two-level segment duration. At n = 2
-    this agrees with `dynamics.compose` to machine precision.
+    Equals the product over pieces of exp(-i dt (Omega'*Jx - Delta'*Jz
+    - i*gamma/2 * excitation number)), computed as the lift of the two-level
+    `dynamics.compose`; at n = 2 it is `compose` itself.
     """
     if n < 2:
         raise ValueError(f"need n >= 2 levels, got {n}")
-    g = spin_generators(n)
-    j = (n - 1) / 2.0
-    excitations = j * np.eye(n) - g.jz  # diag(0, 1, ..., n-1)
-    u = np.eye(n, dtype=complex)
-    for k, seg in enumerate(seq.segments):
-        omega, delta, dt = _perturbed_parameters(seg, err, k)
-        h = omega * g.jx - delta * g.jz
-        if err.gamma:
-            h = h - 0.5j * err.gamma * excitations
-        u = expm(-1j * dt * h) @ u
-    return u
+    return _lift(compose(seq, err), n)
 
 
 def population_trajectory(
@@ -130,91 +178,41 @@ def population_trajectory(
     """Level populations sampled along the piecewise evolution.
 
     Returns rows (time, p_0, ..., p_{n-1}); the initial state defaults to the
-    top-of-ladder level |0>.
+    top-of-ladder level |0>. Each row lifts the two-level propagator from the
+    start to that sample time.
     """
+    if n < 2:
+        raise ValueError(f"need n >= 2 levels, got {n}")
     if samples_per_segment < 2:
         raise ValueError("samples_per_segment must be >= 2")
-    g = spin_generators(n)
-    j = (n - 1) / 2.0
-    excitations = j * np.eye(n) - g.jz
-    if init is None:
-        state = np.zeros(n, dtype=complex)
-        state[0] = 1.0
-    else:
-        state = np.asarray(init, dtype=complex).reshape(-1)
-        if state.size != n:
-            raise ValueError(f"initial state has dimension {state.size}, expected {n}")
-    t = 0.0
-    rows = [(t, *np.abs(state) ** 2)]
-    for k, seg in enumerate(seq.segments):
-        omega, delta, dt = _perturbed_parameters(seg, err, k)
-        h = omega * g.jx - delta * g.jz
-        if err.gamma:
-            h = h - 0.5j * err.gamma * excitations
-        step = expm(-1j * (dt / samples_per_segment) * h)
-        for _ in range(samples_per_segment):
-            state = step @ state
-            t += dt / samples_per_segment
-            rows.append((t, *np.abs(state) ** 2))
-    return np.array(rows)
-
-
-def wigner_d(j: float, m_row: float, m_col: float, beta: float) -> float:
-    """Wigner little-d element <j m_row| exp(-i beta Jy) |j m_col>."""
-    two_j = int(round(2 * j))
-
-    def fact(x: float) -> int:
-        k = int(round(x))
-        if k < 0:
-            raise ValueError("negative factorial argument; invalid (j, m) pair")
-        return factorial(k)
-
-    k_min = max(0, int(round(m_col - m_row)))
-    k_max = min(int(round(j + m_col)), int(round(j - m_row)))
-    pref = np.sqrt(
-        fact(j + m_col) * fact(j - m_col) * fact(j + m_row) * fact(j - m_row)
-    )
-    c, s = np.cos(beta / 2.0), np.sin(beta / 2.0)
-    total = 0.0
-    for k in range(k_min, k_max + 1):
-        sign = -1.0 if (k - int(round(m_col - m_row))) % 2 else 1.0
-        denom = (
-            fact(j + m_col - k) * fact(k) * fact(j - k - m_row) * fact(k - m_col + m_row)
-        )
-        total += sign / denom * c ** (two_j - 2 * k + int(round(m_col - m_row))) * s ** (
-            2 * k - int(round(m_col - m_row))
-        )
-    return float(pref * total)
+    state = np.eye(n, dtype=complex)[0] if init is None else np.asarray(init, dtype=complex).reshape(-1)
+    if state.size != n:
+        raise ValueError(f"initial state has dimension {state.size}, expected {n}")
+    times, us = _samples(_pieces(seq, err), np.eye(2, dtype=complex), samples_per_segment, err.gamma)
+    return np.column_stack([times, np.abs(_lift(us, n) @ state) ** 2])
 
 
 def wigner_d_matrix(n: int, beta: float) -> np.ndarray:
     """Full little-d matrix exp(-i beta Jy) in the m = j..-j basis."""
-    j = (n - 1) / 2.0
-    ms = j - np.arange(n)
-    d = np.zeros((n, n))
-    for a, m_row in enumerate(ms):
-        for b, m_col in enumerate(ms):
-            d[a, b] = wigner_d(j, m_row, m_col, beta)
-    return d
+    return _lift(ideal_rotation(beta, "y"), n).real
 
 
-def _euler_zyz(u: np.ndarray) -> tuple[float, float, float]:
-    """Angles (a, b, c) with U = Rz(a) Ry(b) Rz(c), exact for SU(2) input."""
-    alpha, beta = u[0, 0], u[0, 1]
-    b = 2.0 * np.arctan2(abs(beta), abs(alpha))
-    half_sum = -np.angle(alpha) if abs(alpha) > 0 else 0.0   # (a+c)/2
-    half_diff = -np.angle(-beta) if abs(beta) > 0 else 0.0   # (a-c)/2
-    return half_sum + half_diff, b, half_sum - half_diff
+def wigner_d(j: float, m_row: float, m_col: float, beta: float) -> float:
+    """Wigner little-d element <j m_row| exp(-i beta Jy) |j m_col>."""
+    n = int(round(2 * j)) + 1
+    row, col = int(round(j - m_row)), int(round(j - m_col))
+    if not (0 <= row < n and 0 <= col < n):
+        raise ValueError(f"invalid (j, m) pair: j={j}, m=({m_row}, {m_col})")
+    return float(wigner_d_matrix(n, beta)[row, col])
 
 
 def wigner_lift(u: ComplexMatrix, n: int) -> ComplexMatrix:
     """Image of a 2x2 special-unitary under the dimension-n irreducible
-    representation, via Euler angles and the factorial d-matrix formula.
+    representation.
 
-    Raises ValueError when the input is not special-unitary to 1e-8. This is a
-    genuine homomorphism for every n (no double-valuedness: the domain is
-    SU(2), not the rotation group), used as the cross-check oracle for
-    `nlevel_propagator`.
+    Raises ValueError when the input is not special-unitary to 1e-8. The
+    residual determinant phase is stripped before lifting, so this is a
+    genuine homomorphism of SU(2) for every n (no double-valuedness).
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
@@ -224,10 +222,4 @@ def wigner_lift(u: ComplexMatrix, n: int) -> ComplexMatrix:
     det = np.linalg.det(u)
     if abs(det - 1.0) > 1e-8:
         raise ValueError("input is not special-unitary to 1e-8 (det != 1)")
-    u = u / np.sqrt(det)  # strip the residual determinant phase exactly
-    a, b, c = _euler_zyz(u)
-    j = (n - 1) / 2.0
-    ms = j - np.arange(n)
-    left = np.exp(-1j * ms * a)
-    right = np.exp(-1j * ms * c)
-    return left[:, None] * wigner_d_matrix(n, b) * right[None, :]
+    return _lift(u / np.sqrt(det), n)  # strip the residual determinant phase exactly

@@ -16,8 +16,9 @@ Two fidelities coexist on purpose:
 `robustness_radius` consequently defaults to the transfer metric;
 `area_scan`/`scan_2d` default to state fidelity (their spec'd meaning) and
 accept metric="transfer". Scans and radii accept a `dimension` argument so the
-n-level lift reuses them unchanged; targets at dimension n are the
-wigner-lifted sense-matched rotation applied to the initial state.
+n-level lift reuses them unchanged: propagators and targets at dimension n are
+the symmetric-power lifts (`nlevel._lift`) of the two-level ones, batched over
+the error samples.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from .dynamics import (
     compose_grid,
     target_rotation,
 )
-from .nlevel import nlevel_propagator, wigner_lift
+from .nlevel import _lift
 
 __all__ = [
     "state_fidelity",
@@ -216,10 +217,7 @@ class ScanResult:
 
 
 def _lifted_target(seq: CompositeSequence, dimension: int) -> np.ndarray:
-    gate = target_rotation(seq)
-    if dimension == 2:
-        return gate
-    return wigner_lift(gate, dimension)
+    return _lift(target_rotation(seq), dimension)
 
 
 def _image(gate: np.ndarray, state) -> np.ndarray:
@@ -236,11 +234,7 @@ def state_target(seq: CompositeSequence, state, dimension: int = 2) -> StateVect
 
 def _propagators_for_eps(seq: CompositeSequence, eps_values: np.ndarray, dimension: int) -> np.ndarray:
     """Stack of propagators over area errors, shape (len(eps), dim, dim)."""
-    if dimension == 2:
-        return compose_grid(seq, area_scale=eps_values)
-    return np.stack(
-        [nlevel_propagator(seq, dimension, ErrorModel(area_scale=float(e))) for e in eps_values]
-    )
+    return _lift(compose_grid(seq, area_scale=eps_values), dimension)
 
 
 def area_scan(
@@ -401,16 +395,9 @@ def decoherence_scan(
     if gs.size == 0 or np.any(gs < 0):
         raise ValueError("gamma samples must be nonempty and >= 0")
     amps = as_amplitudes(state)
-
-    def evolved(gamma: float) -> np.ndarray:
-        err = ErrorModel(gamma=float(gamma))
-        if dimension == 2:
-            return compose(seq, err) @ amps
-        return nlevel_propagator(seq, dimension, err) @ amps
-
-    reference = evolved(0.0)
+    reference = _image(_lift(compose(seq), dimension), amps)
     reference = reference / np.linalg.norm(reference)
-    outs = np.stack([evolved(gamma) for gamma in gs])
+    outs = _lift(np.stack([compose(seq, ErrorModel(gamma=float(g))) for g in gs]), dimension) @ amps
     norms = np.linalg.norm(outs, axis=-1, keepdims=True)
     renorm = outs / np.where(norms > 0, norms, 1.0)
     values = 1.0 - np.stack([_state_overlap(reference, outs), _state_overlap(reference, renorm)])

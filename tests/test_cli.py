@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,6 +145,39 @@ def test_scan_decoherence(tmp_path, capsys):
     assert "reported only" in capsys.readouterr().out
 
 
+def test_scan_radius_defaults_to_ground_state_of_dimension(tmp_path):
+    out = tmp_path / "radius3.json"
+    assert run("scan", "radius", "--table", "pi-n4-o1", "--dimension", "3", "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert doc["dimension"] == 3
+    assert 0.0 < doc["radius"] < 0.999
+
+
+def test_scan_decoherence_defaults_to_ground_state_of_dimension(tmp_path):
+    out = tmp_path / "dec3.csv"
+    assert run("scan", "decoherence", "--table", "pi-n4-o1", "--gamma", "0:0.1:0.05",
+               "--dimension", "3", "--out", str(out)) == 0
+    rows = [ln.split(",") for ln in out.read_text().strip().split("\n")[1:]]
+    assert len(rows) == 2 * 3
+    assert all(float(v) < 1e-12 for _, g, v in rows if float(g) == 0.0)
+    assert all(float(v) > 0.0 for metric, g, v in rows if metric == "raw" and float(g) > 0.0)
+
+
+def test_scan_radius_at_fourteen_levels(tmp_path):
+    """n = 14 is where the former factorial Wigner-d formula failed."""
+    out = tmp_path / "radius14.json"
+    assert run("scan", "radius", "--table", "pi-n4-o1", "--dimension", "14", "--threshold", "1e-3",
+               "--out", str(out)) == 0
+    assert 0.0 < json.loads(out.read_text())["radius"] < 0.999
+
+
+@pytest.mark.parametrize("command", ["radius", "decoherence"])
+@pytest.mark.parametrize("dimension", ["1", "0", "-3"])
+def test_dimension_below_two_is_usage_error(command, dimension, capsys):
+    assert run("scan", command, "--table", "pi-n4-o1", "--dimension", dimension) == EXIT_USAGE
+    assert "--dimension" in capsys.readouterr().err
+
+
 def test_nlevel_populations(tmp_path, capsys):
     out = tmp_path / "pops.csv"
     assert run("nlevel", "--n", "3", "--table", "pi-n4-o1", "--populations",
@@ -227,6 +264,36 @@ def test_config_file_defaults_and_flag_precedence(tmp_path):
     assert run("scan", "radius", "--config", str(cfg), "--table", "pi2-n4-o1",
                "--out", str(out2)) == 0
     assert json.loads(out2.read_text())["sequence"] == "pi2-n4-o1"
+
+
+def test_config_file_missing_is_data_error(tmp_path, capsys):
+    assert run("scan", "radius", "--config", str(tmp_path / "absent.json"), "--table", "pi-n4-o1") == 4
+    assert "data error" in capsys.readouterr().err
+
+
+def test_config_file_bad_json_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"table": "pi-n4-o1",')
+    assert run("scan", "radius", "--config", str(cfg)) == EXIT_USAGE
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_config_file_unknown_key_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"table": "pi-n4-o1", "jobs": 4, "seed": 3, "treshold": 0.5}))
+    out = tmp_path / "r.json"
+    assert run("scan", "radius", "--config", str(cfg), "--out", str(out)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "jobs" in err and "seed" in err and "treshold" in err
+    assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy is a test-only dependency: the runtime never imports it."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, dmcp.cli; assert not any(m.startswith('scipy') for m in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_out_dir_environment_variable(tmp_path, monkeypatch):

@@ -79,7 +79,7 @@ def test_three_level_resonant_pi_full_transfer():
     assert abs(d[2, 0] - 1.0) < 1e-12  # d^1_{-1,1}(pi) = 1
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 14, 40])
 def test_wigner_d_matches_exponential(n):
     g = spin_generators(n)
     for beta in (0.3, 1.234, np.pi / 2, np.pi, 5.0):
@@ -119,19 +119,53 @@ def test_wigner_lift_homomorphism(n):
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
+def exponential_product(seq, n, err):
+    """Test-side oracle: product over pieces of exp(-i dt (Omega Jx - Delta Jz
+    - i gamma/2 * excitation number)), one scipy exponential per piece."""
+    g = spin_generators(n)
+    excitations = np.diag(np.arange(n)).astype(complex)
+    u = np.eye(n, dtype=complex)
+    for k, seg in enumerate(seq.segments):
+        omega = seg.coupling * (1.0 + err.coupling_error(k))
+        delta = seg.detuning * (1.0 + err.detuning_error(k))
+        dt = seg.duration * (1.0 + err.area_scale)
+        u = expm(-1j * dt * (omega * g.jx - delta * g.jz - 0.5j * err.gamma * excitations)) @ u
+    return u
+
+
+def perturbed(gamma):
+    return ErrorModel(area_scale=0.03, coupling_errors=(0.02, -0.01), detuning_errors=(0.0, 0.05),
+                      gamma=gamma)
+
+
 def test_wigner_lift_matches_propagator_for_resonant_pulse():
-    u3 = nlevel_propagator(resonant_pulse(np.pi), 3)
-    lifted = wigner_lift(compose(resonant_pulse(np.pi)), 3)
-    assert np.max(np.abs(u3 - lifted)) < 1e-8
+    want = expm(-1j * np.pi * spin_generators(3).jx)
+    assert np.max(np.abs(nlevel_propagator(resonant_pulse(np.pi), 3) - want)) < 1e-12
+    assert np.max(np.abs(wigner_lift(compose(resonant_pulse(np.pi)), 3) - want)) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["pi-n4-o1", "pi-n6-o2", "pi2-n4-o1"])
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_representation_consistency(name, n):
-    """Central theorem: the lifted propagator equals the lift of the composed
-    two-level gate (here they agree to machine precision, well inside 1e-6)."""
+    """Central theorem: the lift of the composed two-level propagator equals
+    the product of the spin-j exponentials, with and without relaxation."""
     seq = catalog_sequence(name)
-    assert np.max(np.abs(nlevel_propagator(seq, n) - wigner_lift(compose(seq), n))) < 1e-10
+    for err in (ErrorModel(), perturbed(0.0), perturbed(0.05)):
+        assert np.max(np.abs(nlevel_propagator(seq, n, err) - exponential_product(seq, n, err))) < 1e-12
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.05])
+@pytest.mark.parametrize("n", [8, 14, 16, 32])
+def test_large_n_propagator_matches_exponential_product(n, gamma):
+    for name in ("pi-n6-o2", "pi2-n4-o1"):
+        seq = catalog_sequence(name)
+        err = perturbed(gamma)
+        assert np.max(np.abs(nlevel_propagator(seq, n, err) - exponential_product(seq, n, err))) < 1e-12
+
+
+def test_lift_rejects_more_levels_than_double_range():
+    with pytest.raises(ValueError, match="at most 1000 levels"):
+        nlevel_propagator(resonant_pulse(np.pi), 1001)
 
 
 @pytest.mark.parametrize("n", [3, 5])

@@ -2,10 +2,12 @@
 
 Sequences are 1-8 pieces with detuning ratios in [-60, 60]; errors are
 fractions in [-0.5, 0.5] and relaxation rates gamma in [0, 0.5]. The scipy
-matrix exponential is the independent oracle for a single piece.
+matrix exponential is the independent oracle for a single piece. The n-level
+lift is checked as a homomorphism on GL(2) up to n = 128, against the
+two-level result at n = 2 and along the sampled population trajectory.
 """
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -19,6 +21,7 @@ from dmcp.dynamics import (
     compose,
     compose_grid,
 )
+from dmcp.nlevel import _lift, nlevel_propagator, population_trajectory
 from dmcp.photonics import LayoutSegment, WaveguideLayout, endpoint_state, propagate_intensity
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -37,6 +40,25 @@ def unit_states(draw):
     v = np.array(re) + 1j * np.array(im)
     n = np.linalg.norm(v)
     return v / n if n > 1e-3 else np.array([1.0, 0.0], dtype=complex)
+
+
+@st.composite
+def contractions(draw):
+    """Invertible complex 2x2 matrices scaled to spectral norm 1, so that
+    their lifts stay bounded by 1 at every n."""
+    entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8))
+    m = (np.array(entries[:4]) + 1j * np.array(entries[4:])).reshape(2, 2)
+    assume(abs(np.linalg.det(m)) > 1e-3)
+    return m / np.linalg.norm(m, 2)
+
+
+@st.composite
+def states(draw, n):
+    re = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    im = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    v = np.array(re) + 1j * np.array(im)
+    norm = np.linalg.norm(v)
+    return v / norm if norm > 1e-3 else np.eye(n, dtype=complex)[0]
 
 
 def sequence(rs, coupling=1.0, area=np.pi):
@@ -119,3 +141,30 @@ def test_bloch_trajectory_ends_at_composed_state(rs, eps, gamma, psi):
     assert len(points) == 1 + 3 * len(seq.segments)
     want = bloch_coordinates(compose(seq, err) @ psi)
     assert np.max(np.abs(np.array(points[-1][1:]) - want)) < 1e-12
+
+
+@PROPERTY
+@given(u=contractions(), v=contractions(), n=st.integers(2, 128))
+@example(u=np.array([[0.6, 0.8j], [0.8j, 0.6]]), v=np.array([[0.5, -0.5], [0.5, 0.5]]), n=128)
+def test_lift_is_homomorphism(u, v, n):
+    assert np.max(np.abs(_lift(u @ v, n) - _lift(u, n) @ _lift(v, n))) < 1e-12
+
+
+@PROPERTY
+@given(rs=ratios, eps=fractions, ce=fractions, de=fractions, gamma=gammas)
+def test_two_level_lift_is_compose(rs, eps, ce, de, gamma):
+    seq = sequence(rs)
+    err = ErrorModel(area_scale=eps, coupling_errors=(ce,) * len(rs), detuning_errors=(de,), gamma=gamma)
+    assert np.max(np.abs(nlevel_propagator(seq, 2, err) - compose(seq, err))) < 1e-12
+
+
+@PROPERTY
+@given(data=st.data(), rs=ratios, eps=fractions, gamma=gammas, n=st.integers(2, 16))
+def test_population_trajectory_ends_at_lifted_propagator(data, rs, eps, gamma, n):
+    seq = sequence(rs)
+    err = ErrorModel(area_scale=eps, gamma=gamma)
+    psi = data.draw(states(n))
+    rows = population_trajectory(seq, n, err, init=psi, samples_per_segment=3)
+    assert rows.shape == (1 + 3 * len(rs), 1 + n)
+    want = np.abs(nlevel_propagator(seq, n, err) @ psi) ** 2
+    assert np.max(np.abs(rows[-1, 1:] - want)) < 1e-12
